@@ -3,10 +3,13 @@
 Benchmarks print human-readable evidence with ``-s``; this module
 additionally persists the numbers so performance is tracked across PRs.
 Each benchmark records a named section; sections accumulate in one JSON
-file (default ``BENCH_2.json`` in the repo root, override with the
-``BENCH_OUTPUT`` environment variable).  CI uploads the file as a workflow
-artifact and the regression gate (``benchmarks/check_regression.py``)
-compares smoke-scale regenerations against ``benchmarks/baselines/``.
+file (default ``benchmarks/out/BENCH_2.json``, override with the
+``BENCH_OUTPUT`` environment variable).  ``benchmarks/out/`` is git-ignored,
+so running the benchmarks never dirties the committed ``BENCH_*.json``
+artifacts in the repo root; regenerating those means copying the fresh
+files from ``benchmarks/out/``.  CI uploads the files as workflow artifacts
+and the regression gate (``benchmarks/check_regression.py``) compares
+smoke-scale regenerations against ``benchmarks/baselines/``.
 
 Benchmarks that run through :func:`repro.api.run` should persist
 :class:`repro.api.Result` objects via :func:`record_results` instead of
@@ -47,8 +50,9 @@ def bench_output_path(filename: str = None) -> str:
     override = os.environ.get("BENCH_OUTPUT")
     if override:
         return override
-    repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    return os.path.join(repo_root, filename or _DEFAULT_FILENAME)
+    out_dir = os.path.join(os.path.dirname(os.path.abspath(__file__)), "out")
+    os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, filename or _DEFAULT_FILENAME)
 
 
 def record_bench_section(

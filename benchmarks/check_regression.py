@@ -10,7 +10,7 @@ build when they regress against the committed snapshots in
   match the baseline **exactly**: the simulator is seeded, so any drift is
   a real behavior change.  Intentional changes regenerate the baselines,
   exactly like the golden traces (run the smoke benchmarks and copy the
-  fresh ``BENCH_*.json`` over ``benchmarks/baselines/``, updating
+  fresh ``benchmarks/out/BENCH_*.json`` over ``benchmarks/baselines/``, updating
   ``calibration.json`` with the printed machine speed).
 * **Throughput numbers** (``*_per_sec``) may not drop below
   ``--min-throughput-ratio`` (default 0.75, i.e. a >25% drop fails) after
@@ -204,8 +204,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--current-dir",
-        default=os.getcwd(),
-        help="directory holding the freshly generated BENCH_*.json files",
+        default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "out"),
+        help="directory holding the freshly generated BENCH_*.json files "
+        "(default: benchmarks/out, where the benchmarks write them)",
     )
     parser.add_argument(
         "--baseline-store",

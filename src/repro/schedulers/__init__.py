@@ -8,11 +8,11 @@ plain SRTF used by the ablation study.
 
 from repro.schedulers.base import (
     PreemptionDirective,
+    PriorityScheduler,
     Scheduler,
     SchedulingContext,
     SchedulingDecision,
     flatten_stage_tasks,
-    interleave_by_job,
     interleave_tasks,
 )
 from repro.schedulers.snapshot import CowSnapshotTracker
@@ -29,6 +29,7 @@ from repro.schedulers.registry import available_schedulers, create_scheduler
 
 __all__ = [
     "Scheduler",
+    "PriorityScheduler",
     "SchedulingContext",
     "SchedulingDecision",
     "PreemptionDirective",
@@ -36,7 +37,6 @@ __all__ = [
     "CowSnapshotTracker",
     "flatten_stage_tasks",
     "interleave_tasks",
-    "interleave_by_job",
     "FcfsScheduler",
     "FairScheduler",
     "SjfScheduler",

@@ -3,20 +3,25 @@
 The simulation engine calls :meth:`Scheduler.schedule` whenever capacity may
 be available (job arrivals, task completions).  The scheduler returns two
 *preference lists* — one for regular tasks, one for LLM tasks — and the
-engine greedily places as many tasks from the front of each list as the
-cluster can currently hold.  Tasks that do not fit simply stay pending and
-are reconsidered at the next invocation, so schedulers never need to know
-the exact free capacity (though it is exposed on the context for policies
-that want it).
+engine greedily places tasks from the front of each list until that type's
+free slots run out.  Tasks that do not fit stay pending and are reconsidered
+at the next invocation, so a list may be longer than the free capacity.
+
+The static-priority baselines (:class:`PriorityScheduler`: FCFS, SJF, SRTF)
+size their lists to the free capacity instead: on a live context each list
+holds at most ``free_*_slots`` entries of its type, exactly the entries the
+engine would place from the uncapped list.  Lists stay uncapped on
+snapshots (an asynchronous decision is applied later, when capacity may
+have grown) and for preemptive schedulers (victim planning reads the
+entries beyond the free capacity).
 """
 
 from __future__ import annotations
 
 import abc
 import copy
-import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.dag.job import Job
 from repro.dag.stage import Stage
@@ -28,9 +33,11 @@ __all__ = [
     "SchedulingDecision",
     "PreemptionDirective",
     "Scheduler",
+    "PriorityScheduler",
+    "JobKey",
+    "stages_by_depth",
     "flatten_stage_tasks",
     "interleave_tasks",
-    "interleave_by_job",
 ]
 
 
@@ -304,13 +311,64 @@ class Scheduler(abc.ABC):
         return f"{type(self).__name__}(name={self.name!r})"
 
 
+#: Orders jobs for one scheduling pass (smallest key first).
+JobKey = Callable[[Job], Tuple[Any, ...]]
+
+
+class PriorityScheduler(Scheduler):
+    """A static-priority policy: jobs in key order, upstream stages first.
+
+    Subclasses declare only :meth:`job_key`.  One pass takes jobs in key
+    order and, within a job, its schedulable stages in ``(depth, stage_id)``
+    order, appending each stage's pending tasks to the list of its type.
+    On a live context of a non-preemptive scheduler each list is capped at
+    the context's free slots of its type and the walk ends once both are
+    full, so a call costs what it places, not what is queued.
+    """
+
+    @abc.abstractmethod
+    def job_key(self, context: SchedulingContext) -> JobKey:
+        """The job ordering for one pass over ``context``."""
+
+    def schedule(self, context: SchedulingContext) -> SchedulingDecision:
+        return self._prioritized(context, self.job_key(context))
+
+    def _prioritized(self, context: SchedulingContext, key: JobKey) -> SchedulingDecision:
+        regular: List[Task] = []
+        llm: List[Task] = []
+        jobs = sorted(context.jobs, key=key)
+        if self.preemptive or context.is_snapshot:
+            for job in jobs:
+                for stage in stages_by_depth(job):
+                    (llm if stage.is_llm else regular).extend(stage.pending_tasks())
+            return SchedulingDecision(regular_tasks=regular, llm_tasks=llm)
+        regular_cap, llm_cap = context.free_regular_slots, context.free_llm_slots
+        for job in jobs:
+            if len(regular) >= regular_cap and len(llm) >= llm_cap:
+                break
+            for stage in stages_by_depth(job):
+                tasks, room = (llm, llm_cap) if stage.is_llm else (regular, regular_cap)
+                room -= len(tasks)
+                if room > 0:
+                    tasks.extend(stage.pending_tasks()[:room])
+        return SchedulingDecision(regular_tasks=regular, llm_tasks=llm)
+
+
+def stages_by_depth(job: Job) -> List[Stage]:
+    """``job``'s schedulable stages, upstream first (ties by stage id)."""
+    stages = job.schedulable_stages()
+    if len(stages) > 1:
+        stages = sorted(stages, key=lambda s: (job.stage_depth(s.stage_id), s.stage_id))
+    return stages
+
+
 def flatten_stage_tasks(stages: Sequence[Stage]) -> List[Task]:
     """Flatten stages into tasks, keeping the given stage priority order.
 
     All tasks of a higher-priority stage come before tasks of lower-priority
-    stages; within a stage, tasks keep their index order.  This is what the
-    priority-ordering baselines (FCFS/SJF/SRTF/Argus) want: the stage order
-    *is* the preference order, and no cross-stage fairness is implied.
+    stages; within a stage, tasks keep their index order.  This is what
+    stage-rank policies such as Argus want: the stage order *is* the
+    preference order, and no cross-stage fairness is implied.
     """
     tasks: List[Task] = []
     for stage in stages:
@@ -334,22 +392,3 @@ def interleave_tasks(stages: Sequence[Stage]) -> List[Task]:
             if rank < len(queue):
                 tasks.append(queue[rank])
     return tasks
-
-
-def interleave_by_job(stages: Sequence[Stage]) -> List[Task]:
-    """Deprecated misnomer for :func:`flatten_stage_tasks`.
-
-    Despite the historical name (and docstring), this never interleaved
-    anything — it flat-concatenates stage tasks in priority order.  Kept as
-    an alias so downstream callers keep working; use
-    :func:`flatten_stage_tasks` for the same behavior or
-    :func:`interleave_tasks` for actual round-robin interleaving.
-    """
-    warnings.warn(
-        "interleave_by_job is a misnomer and is deprecated: it flat-concatenates "
-        "stage tasks (use flatten_stage_tasks) and never interleaved (use "
-        "interleave_tasks for round-robin)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return flatten_stage_tasks(stages)

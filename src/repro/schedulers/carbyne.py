@@ -22,7 +22,7 @@ from typing import List
 
 from repro.dag.stage import Stage
 from repro.dag.task import Task
-from repro.schedulers.base import Scheduler, SchedulingContext, SchedulingDecision
+from repro.schedulers.base import Scheduler, SchedulingContext, SchedulingDecision, stages_by_depth
 from repro.schedulers.priors import ApplicationPriors
 
 __all__ = ["CarbyneScheduler"]
@@ -49,11 +49,7 @@ class CarbyneScheduler(Scheduler):
         primary_tasks: List[Task] = []
         primary_count = max(1, int(round(len(jobs_by_remaining) * self._primary_fraction)))
         for job in jobs_by_remaining[:primary_count]:
-            stages = sorted(
-                job.schedulable_stages(),
-                key=lambda s: (job.stage_depth(s.stage_id), s.stage_id),
-            )
-            for stage in stages:
+            for stage in stages_by_depth(job):
                 primary_tasks.extend(stage.pending_tasks())
 
         # Altruistic leftover: donate to stages that unlock the most

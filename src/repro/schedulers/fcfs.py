@@ -2,20 +2,19 @@
 
 from __future__ import annotations
 
-from typing import List
+from typing import Tuple
 
-from repro.dag.stage import Stage
-from repro.schedulers.base import (
-    Scheduler,
-    SchedulingContext,
-    SchedulingDecision,
-    flatten_stage_tasks,
-)
+from repro.dag.job import Job
+from repro.schedulers.base import JobKey, PriorityScheduler, SchedulingContext
 
 __all__ = ["FcfsScheduler"]
 
 
-class FcfsScheduler(Scheduler):
+def _by_arrival(job: Job) -> Tuple[float, str]:
+    return (job.arrival_time, job.job_id)
+
+
+class FcfsScheduler(PriorityScheduler):
     """Schedule jobs strictly in arrival order.
 
     Within a job, stages are ordered by DAG depth so upstream work runs
@@ -24,13 +23,5 @@ class FcfsScheduler(Scheduler):
 
     name = "fcfs"
 
-    def schedule(self, context: SchedulingContext) -> SchedulingDecision:
-        ordered_jobs = sorted(context.jobs, key=lambda j: (j.arrival_time, j.job_id))
-        stages: List[Stage] = []
-        for job in ordered_jobs:
-            job_stages = sorted(
-                job.schedulable_stages(),
-                key=lambda s: (job.stage_depth(s.stage_id), s.stage_id),
-            )
-            stages.extend(job_stages)
-        return SchedulingDecision.from_tasks(flatten_stage_tasks(stages))
+    def job_key(self, context: SchedulingContext) -> JobKey:
+        return _by_arrival

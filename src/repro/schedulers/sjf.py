@@ -2,21 +2,13 @@
 
 from __future__ import annotations
 
-from typing import List
-
-from repro.dag.stage import Stage
-from repro.schedulers.base import (
-    Scheduler,
-    SchedulingContext,
-    SchedulingDecision,
-    flatten_stage_tasks,
-)
+from repro.schedulers.base import JobKey, PriorityScheduler, SchedulingContext
 from repro.schedulers.priors import ApplicationPriors
 
 __all__ = ["SjfScheduler"]
 
 
-class SjfScheduler(Scheduler):
+class SjfScheduler(PriorityScheduler):
     """Order jobs by the historical mean duration of their application.
 
     This is the strongest simple baseline on mixed workloads in the paper,
@@ -30,16 +22,6 @@ class SjfScheduler(Scheduler):
     def __init__(self, priors: ApplicationPriors) -> None:
         self._priors = priors
 
-    def schedule(self, context: SchedulingContext) -> SchedulingDecision:
-        ordered_jobs = sorted(
-            context.jobs,
-            key=lambda j: (self._priors.estimate_total(j), j.arrival_time, j.job_id),
-        )
-        stages: List[Stage] = []
-        for job in ordered_jobs:
-            job_stages = sorted(
-                job.schedulable_stages(),
-                key=lambda s: (job.stage_depth(s.stage_id), s.stage_id),
-            )
-            stages.extend(job_stages)
-        return SchedulingDecision.from_tasks(flatten_stage_tasks(stages))
+    def job_key(self, context: SchedulingContext) -> JobKey:
+        estimate = self._priors.estimate_total
+        return lambda j: (estimate(j), j.arrival_time, j.job_id)

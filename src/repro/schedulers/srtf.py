@@ -7,15 +7,14 @@ component inside LLMSched's Algorithm 1 and also serves as the
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.dag.job import Job
-from repro.dag.stage import Stage
 from repro.schedulers.base import (
-    Scheduler,
+    JobKey,
+    PriorityScheduler,
     SchedulingContext,
     SchedulingDecision,
-    flatten_stage_tasks,
 )
 from repro.schedulers.priors import ApplicationPriors
 
@@ -24,7 +23,7 @@ __all__ = ["SrtfScheduler"]
 RemainingEstimator = Callable[[Job, SchedulingContext], float]
 
 
-class SrtfScheduler(Scheduler):
+class SrtfScheduler(PriorityScheduler):
     """Order jobs by their estimated *remaining* duration.
 
     Parameters
@@ -54,30 +53,21 @@ class SrtfScheduler(Scheduler):
         assert self._priors is not None
         return self._priors.estimate_remaining(job)
 
-    def schedule(self, context: SchedulingContext) -> SchedulingDecision:
-        return self._schedule_with_remaining(context)[0]
+    def job_key(self, context: SchedulingContext) -> JobKey:
+        remaining = {
+            job.job_id: self.estimate_remaining(job, context) for job in context.jobs
+        }
+        return lambda j: (remaining[j.job_id], j.arrival_time, j.job_id)
 
     def _schedule_with_remaining(
         self, context: SchedulingContext
     ) -> Tuple[SchedulingDecision, Dict[str, float]]:
         """(decision, job_id → estimated remaining) for one scheduling pass.
 
-        The estimate map is computed once and shared — the preemptive
-        subclass reuses it for victim selection, so pluggable (expensive)
+        The estimates are computed once and shared — the preemptive
+        subclass reuses them for victim selection, so pluggable (expensive)
         estimators run once per job per pass, not twice.
         """
-        remaining = {
-            job.job_id: self.estimate_remaining(job, context) for job in context.jobs
-        }
-        ordered_jobs = sorted(
-            context.jobs,
-            key=lambda j: (remaining[j.job_id], j.arrival_time, j.job_id),
-        )
-        stages: List[Stage] = []
-        for job in ordered_jobs:
-            job_stages = sorted(
-                job.schedulable_stages(),
-                key=lambda s: (job.stage_depth(s.stage_id), s.stage_id),
-            )
-            stages.extend(job_stages)
-        return SchedulingDecision.from_tasks(flatten_stage_tasks(stages)), remaining
+        key = self.job_key(context)
+        decision = self._prioritized(context, key)
+        return decision, {job.job_id: key(job)[0] for job in context.jobs}

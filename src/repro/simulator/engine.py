@@ -384,9 +384,9 @@ class SimulationEngine:
         backend = self.async_backend
         if backend is not None and not backend.can_request():
             return  # a decision is already in flight (pipelining depth hit)
-        context = self._build_context()
-        if not context.schedulable_tasks():
+        if not self._has_placeable_backlog():
             return
+        context = self._build_context()
 
         if backend is None:
             decision = self._timed_schedule(context)
