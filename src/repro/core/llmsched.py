@@ -23,7 +23,9 @@ on Bayesian estimates).
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.calibration import BatchingAwareCalibrator
@@ -40,6 +42,7 @@ __all__ = ["LLMSchedConfig", "LLMSchedScheduler"]
 #: Remaining-duration estimate used for jobs of applications that were never
 #: profiled; a neutral middle-of-the-road value keeps the scheduler robust.
 _UNPROFILED_REMAINING = 10.0
+_UNPROFILED_INTERVAL = (_UNPROFILED_REMAINING * 0.5, _UNPROFILED_REMAINING * 1.5)
 
 
 @dataclass(frozen=True)
@@ -83,26 +86,22 @@ class LLMSchedScheduler(Scheduler):
     # ------------------------------------------------------------------ #
     # Estimation helpers
     # ------------------------------------------------------------------ #
+    def _job_estimate(
+        self, job: Job, context: SchedulingContext
+    ) -> Tuple[Optional[Dict[str, int]], float, Tuple[float, float]]:
+        """(evidence, batch-calibrated remaining duration, remaining-duration
+        interval) of a job, derived once per :meth:`schedule` call.  The
+        evidence is ``None`` for applications that were never profiled."""
+        if not self.profiler.has_profile(job.application):
+            return None, _UNPROFILED_REMAINING, _UNPROFILED_INTERVAL
+        evidence = self.profiler.evidence_for(job)
+        estimate = self.profiler.remaining_estimate(job, evidence, self.config.use_bn)
+        remaining = estimate.remaining(context.average_llm_batch_size, self.calibrator)
+        return evidence, remaining, estimate.interval
+
     def estimate_remaining(self, job: Job, context: SchedulingContext) -> float:
         """Posterior (or historical) remaining duration, batch-calibrated."""
-        if not self.profiler.has_profile(job.application):
-            return _UNPROFILED_REMAINING
-        return self.profiler.estimate_remaining_duration(
-            job,
-            target_batch_size=context.average_llm_batch_size,
-            calibrator=self.calibrator,
-            use_posterior=self.config.use_bn,
-        )
-
-    def _remaining_interval(self, job: Job) -> Tuple[float, float]:
-        if not self.profiler.has_profile(job.application):
-            return (_UNPROFILED_REMAINING * 0.5, _UNPROFILED_REMAINING * 1.5)
-        return self.profiler.estimate_remaining_interval(job, use_posterior=self.config.use_bn)
-
-    def _uncertainty_reduction(self, job: Job, stage: Stage) -> float:
-        if not self.profiler.has_profile(job.application):
-            return 0.0
-        return self.profiler.uncertainty_reduction(job, stage.profile_key)
+        return self._job_estimate(job, context)[1]
 
     # ------------------------------------------------------------------ #
     # Algorithm 1
@@ -111,11 +110,12 @@ class LLMSchedScheduler(Scheduler):
         jobs = [j for j in context.jobs if not j.is_finished]
         if not jobs:
             return SchedulingDecision()
+        estimates = {job.job_id: self._job_estimate(job, context) for job in jobs}
+        intervals = {job_id: interval for job_id, (_, _, interval) in estimates.items()}
 
         # Lines 1-4: SRTF-ordered stage list St.
-        remaining = {job.job_id: self.estimate_remaining(job, context) for job in jobs}
         jobs_by_remaining = sorted(
-            jobs, key=lambda j: (remaining[j.job_id], j.arrival_time, j.job_id)
+            jobs, key=lambda j: (estimates[j.job_id][1], j.arrival_time, j.job_id)
         )
         srtf_stages: List[Tuple[Job, Stage]] = []
         for job in jobs_by_remaining:
@@ -130,12 +130,16 @@ class LLMSchedScheduler(Scheduler):
         # exploring; stages with nothing to reveal stay exclusively in St.
         exploration_stages: List[Tuple[Job, Stage]] = []
         if self.config.use_uncertainty and self.config.epsilon > 0.0:
-            groups = self._non_overlapping_groups(jobs)
-            for group in groups:
+            for group in self._non_overlapping_groups(jobs, intervals):
                 group_stages: List[Tuple[float, float, str, Job, Stage]] = []
                 for job in group:
+                    evidence = estimates[job.job_id][0]
+                    if evidence is None:
+                        continue
                     for stage in job.schedulable_stages():
-                        reduction = self._uncertainty_reduction(job, stage)
+                        reduction = self.profiler.uncertainty_reduction(
+                            job, stage.profile_key, evidence
+                        )
                         if reduction <= 0.0:
                             continue
                         group_stages.append(
@@ -145,27 +149,29 @@ class LLMSchedScheduler(Scheduler):
                 exploration_stages.extend((job, stage) for *_, job, stage in group_stages)
 
         # Lines 11-21: epsilon-greedy merge with task sampling.
-        intervals = {job.job_id: self._remaining_interval(job) for job in jobs}
         return self._merge_preferences(srtf_stages, exploration_stages, intervals)
 
     # ------------------------------------------------------------------ #
-    def _non_overlapping_groups(self, jobs: Sequence[Job]) -> List[List[Job]]:
+    @staticmethod
+    def _non_overlapping_groups(
+        jobs: Sequence[Job], intervals: Dict[str, Tuple[float, float]]
+    ) -> List[List[Job]]:
         """Group jobs whose remaining-duration intervals overlap (line 5).
 
         The groups themselves are ordered by their lower bound, so stages of
         a group of provably-shorter jobs always precede stages of longer
         ones in the exploration list.
         """
-        intervals = []
+        ordered = []
         for job in jobs:
-            lower, upper = self._remaining_interval(job)
-            intervals.append((lower, max(upper, lower), job))
-        intervals.sort(key=lambda item: (item[0], item[1], item[2].job_id))
+            lower, upper = intervals[job.job_id]
+            ordered.append((lower, max(upper, lower), job))
+        ordered.sort(key=lambda item: (item[0], item[1], item[2].job_id))
 
         groups: List[List[Job]] = []
         current: List[Job] = []
         current_upper = -math.inf
-        for lower, upper, job in intervals:
+        for lower, upper, job in ordered:
             if not current or lower <= current_upper:
                 current.append(job)
                 current_upper = max(current_upper, upper)
@@ -210,10 +216,10 @@ class LLMSchedScheduler(Scheduler):
             low_b, high_b = intervals[job_b.job_id]
             return low_a <= high_b and low_b <= high_a
 
-        srtf_queue = list(srtf_stages)
-        exploration_queue = list(exploration_stages)
+        srtf_queue = deque(srtf_stages)
+        exploration_queue = deque(exploration_stages)
         while srtf_queue and exploration_queue:
-            job_t, stage_t = srtf_queue.pop(0)
+            job_t, stage_t = srtf_queue.popleft()
             explore = self._rng.random() <= self.config.epsilon
             candidate_index = None
             if explore:
@@ -222,19 +228,20 @@ class LLMSchedScheduler(Scheduler):
                         candidate_index = index
                         break
             if candidate_index is not None:
-                job_u, stage_u = exploration_queue.pop(candidate_index)
+                job_u, stage_u = exploration_queue[candidate_index]
+                del exploration_queue[candidate_index]
                 if stage_key(job_u, stage_u) not in seen_stages:
                     seen_stages.add(stage_key(job_u, stage_u))
                     add_tasks(self._sample_tasks(stage_u))
             else:
                 if explore and exploration_queue:
-                    exploration_queue.pop(0)
+                    exploration_queue.popleft()
                 if stage_key(job_t, stage_t) not in seen_stages:
                     seen_stages.add(stage_key(job_t, stage_t))
                     add_tasks(stage_t.pending_tasks())
 
         # Line 21: attach every remaining task, SRTF stages first.
-        for _job, stage in srtf_queue + exploration_queue + srtf_stages + exploration_stages:
+        for _job, stage in chain(srtf_queue, exploration_queue, srtf_stages, exploration_stages):
             add_tasks(stage.pending_tasks())
 
         return SchedulingDecision.from_tasks(ordered_tasks)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from repro.dag.dynamic import dynamic_stage_entropy
 from repro.dag.job import Job
 from repro.utils.rng import make_rng
 
-__all__ = ["ApplicationProfile", "BayesianProfiler"]
+__all__ = ["ApplicationProfile", "BayesianProfiler", "RemainingEstimate"]
 
 
 @dataclass
@@ -52,6 +52,31 @@ class ApplicationProfile:
 
     def variable_range(self, variable: str) -> float:
         return self.specs[variable].value_range
+
+
+@dataclass(frozen=True)
+class RemainingEstimate:
+    """Remaining duration of a job's unresolved stages, before calibration.
+
+    ``regular`` and ``llm`` are the expected durations of the regular and
+    LLM stages; ``lower``/``upper`` bound the remaining duration at mean
+    ± one standard deviation.
+    """
+
+    regular: float
+    llm: float
+    lower: float
+    upper: float
+
+    @property
+    def interval(self) -> Tuple[float, float]:
+        return self.lower, self.upper
+
+    def remaining(self, target_batch_size: float = 1.0, calibrator=None) -> float:
+        """Expected remaining duration, the LLM share calibrated (Eq. 2) to
+        ``target_batch_size`` when a calibrator is given."""
+        llm = self.llm if calibrator is None else calibrator.calibrate(self.llm, target_batch_size)
+        return self.regular + llm
 
 
 class BayesianProfiler:
@@ -79,6 +104,11 @@ class BayesianProfiler:
         self._marginal_cache: Dict[Tuple[str, Tuple[Tuple[str, int], ...]], Dict[str, np.ndarray]] = {}
         # Memoised uncertainty reductions keyed by (application, stage, evidence signature).
         self._reduction_cache: Dict[Tuple[str, str, Tuple[Tuple[str, int], ...]], float] = {}
+        # Memoised remaining-duration summaries keyed by (application, evidence
+        # signature, resolved variables, use_posterior).
+        self._estimate_cache: Dict[
+            Tuple[str, Tuple[Tuple[str, int], ...], FrozenSet[str], bool], RemainingEstimate
+        ] = {}
 
     # ------------------------------------------------------------------ #
     # Offline profiling
@@ -105,16 +135,17 @@ class BayesianProfiler:
         dynamic_candidates = app.dynamic_candidates()
         dynamic_totals: Dict[str, List[float]] = {k: [] for k in dynamic_candidates}
 
+        candidate_keys = {key: self._candidate_keys(app, key) for key in dynamic_candidates}
         for i in range(n_jobs):
             job = app.sample_job(f"__profile__{app.name}_{i}", 0.0, rng)
             durations = self._ground_truth_durations(job)
             for variable in variables:
                 traces[variable].append(durations.get(variable, 0.0))
-            for dyn_key in dynamic_candidates:
+            for dyn_key, keys in candidate_keys.items():
                 inner = [
                     stage.duration
                     for stage in job.stages.values()
-                    if stage.profile_key in self._candidate_keys(app, dyn_key)
+                    if stage.profile_key in keys
                 ]
                 dynamic_totals[dyn_key].append(float(sum(inner)))
 
@@ -327,6 +358,63 @@ class BayesianProfiler:
         representatives = np.asarray(profile.specs[variable].representatives, dtype=float)
         return float(np.dot(marginal, representatives))
 
+    def remaining_estimate(
+        self, job: Job, evidence: Mapping[str, int], use_posterior: bool = True
+    ) -> RemainingEstimate:
+        """Summary of the job's unresolved stages given its ``evidence``.
+
+        A variable is resolved when it is in the evidence and its stage is
+        complete (or the job has no such stage, e.g. an unselected dynamic
+        candidate); every other variable contributes.  Summaries are memoised
+        by (application, evidence signature, resolved variables,
+        ``use_posterior``), so their number is bounded by the profile's state
+        space, not by the number of jobs.
+        """
+        profile = self.profile_for(job.application)
+        # The first stage carrying a profile key decides whether it is complete.
+        complete: Dict[str, bool] = {}
+        for stage in job.stages.values():
+            complete.setdefault(stage.profile_key, stage.is_complete)
+        resolved = frozenset(v for v in evidence if complete.get(v, True))
+        key = (job.application, self._evidence_signature(evidence), resolved, use_posterior)
+        cached = self._estimate_cache.get(key)
+        if cached is not None:
+            return cached
+
+        marginals = self.posterior_marginals(job.application, evidence) if use_posterior else None
+        regular = 0.0
+        llm = 0.0
+        mean_total = 0.0
+        variance_total = 0.0
+        for variable in profile.variables:
+            if variable in resolved:
+                continue
+            representatives = np.asarray(profile.specs[variable].representatives, dtype=float)
+            if marginals is not None:
+                distribution = np.asarray(marginals[variable], dtype=float)
+            else:
+                distribution = np.full(representatives.size, 1.0 / representatives.size)
+            mean = float(np.dot(distribution, representatives))
+            # Without the posterior the point estimate is the historical mean
+            # (the "w/o BN" ablation), while the interval stays uniform.
+            expected = mean if marginals is not None else profile.mean_durations[variable]
+            if variable in profile.llm_variables:
+                llm += expected
+            else:
+                regular += expected
+            second_moment = float(np.dot(distribution, representatives**2))
+            mean_total += mean
+            variance_total += max(0.0, second_moment - mean**2)
+        spread = math.sqrt(variance_total)
+        estimate = RemainingEstimate(
+            regular=regular,
+            llm=llm,
+            lower=max(0.0, mean_total - spread),
+            upper=mean_total + spread,
+        )
+        self._estimate_cache[key] = estimate
+        return estimate
+
     def estimate_remaining_duration(
         self,
         job: Job,
@@ -341,36 +429,8 @@ class BayesianProfiler:
         historical mean duration of every unfinished stage is used instead of
         the Bayesian posterior.
         """
-        profile = self.profile_for(job.application)
-        evidence = self.evidence_for(job)
-        marginals = self.posterior_marginals(job.application, evidence) if use_posterior else None
-
-        remaining_regular = 0.0
-        remaining_llm = 0.0
-        for variable in profile.variables:
-            if variable in evidence and self._variable_is_resolved(job, variable):
-                continue
-            if use_posterior:
-                representatives = np.asarray(profile.specs[variable].representatives, dtype=float)
-                expected = float(np.dot(marginals[variable], representatives))
-            else:
-                expected = profile.mean_durations[variable]
-            if variable in profile.llm_variables:
-                remaining_llm += expected
-            else:
-                remaining_regular += expected
-
-        if calibrator is not None:
-            remaining_llm = calibrator.calibrate(remaining_llm, target_batch_size)
-        return remaining_regular + remaining_llm
-
-    def _variable_is_resolved(self, job: Job, variable: str) -> bool:
-        """True when the variable's duration is fully known for this job."""
-        for stage in job.stages.values():
-            if stage.profile_key == variable:
-                return stage.is_complete
-        # Variable has no stage in this job (unselected candidate): resolved.
-        return True
+        estimate = self.remaining_estimate(job, self.evidence_for(job), use_posterior)
+        return estimate.remaining(target_batch_size, calibrator)
 
     def estimate_remaining_interval(
         self, job: Job, use_posterior: bool = True
@@ -381,27 +441,11 @@ class BayesianProfiler:
         bounds are mean ± one standard deviation of the posterior remaining
         duration (per-stage variances summed, i.e. stages treated as
         conditionally independent given the evidence); without the posterior
-        the per-stage historical spread is used instead.
+        each unresolved stage is taken as uniform over its interval
+        representatives.
         """
-        profile = self.profile_for(job.application)
-        evidence = self.evidence_for(job)
-        marginals = self.posterior_marginals(job.application, evidence) if use_posterior else None
-        mean_total = 0.0
-        variance_total = 0.0
-        for variable in profile.variables:
-            if variable in evidence and self._variable_is_resolved(job, variable):
-                continue
-            representatives = np.asarray(profile.specs[variable].representatives, dtype=float)
-            if use_posterior:
-                distribution = np.asarray(marginals[variable], dtype=float)
-            else:
-                distribution = np.full(representatives.size, 1.0 / representatives.size)
-            mean = float(np.dot(distribution, representatives))
-            second_moment = float(np.dot(distribution, representatives**2))
-            mean_total += mean
-            variance_total += max(0.0, second_moment - mean**2)
-        spread = math.sqrt(variance_total)
-        return max(0.0, mean_total - spread), mean_total + spread
+        estimate = self.remaining_estimate(job, self.evidence_for(job), use_posterior)
+        return estimate.interval
 
     # ------------------------------------------------------------------ #
     # Uncertainty-reducing stages
@@ -424,17 +468,21 @@ class BayesianProfiler:
             return True
         return bool(self.correlated_variables(application, variable))
 
-    def uncertainty_reduction(self, job: Job, stage_profile_key: str) -> float:
+    def uncertainty_reduction(
+        self, job: Job, stage_profile_key: str, evidence: Optional[Mapping[str, int]] = None
+    ) -> float:
         """R(X) of scheduling the given stage of the given job (Eq. 6).
 
         Conditional mutual information between the stage and its correlated
         unscheduled stages (given the evidence of completed stages), scaled
         by the duration-range sum of those stages; for LLM stages that
         precede an unresolved dynamic stage, the dynamic stage's node+edge
-        entropy times its duration range is added.
+        entropy times its duration range is added.  ``evidence`` is the
+        job's :meth:`evidence_for`, when the caller already has it.
         """
         profile = self.profile_for(job.application)
-        evidence = self.evidence_for(job)
+        if evidence is None:
+            evidence = self.evidence_for(job)
         signature = (job.application, stage_profile_key, self._evidence_signature(evidence))
         cached = self._reduction_cache.get(signature)
         if cached is not None:

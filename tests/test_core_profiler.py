@@ -5,6 +5,8 @@ import pytest
 
 from repro.core.calibration import BatchingAwareCalibrator
 from repro.core.profiler import BayesianProfiler
+from repro.dag.job import Job
+from repro.dag.stage import Stage, StageSpec, StageType
 from repro.simulator.latency import DecodingLatencyProfile
 from repro.utils.rng import make_rng
 from repro.workloads import (
@@ -168,6 +170,35 @@ class TestDurationEstimation:
         lower, upper = fitted_profiler.estimate_remaining_interval(job)
         estimate = fitted_profiler.estimate_remaining_duration(job)
         assert lower <= estimate <= upper
+
+    def test_first_stage_of_a_profile_key_decides_resolution(self, fitted_profiler):
+        """When two stages share a profile key, the first one (in stage
+        order) decides whether the observed variable still contributes."""
+
+        def build(order):
+            job = Job("j", "sequence_sorting", 0.0)
+            for stage_id in order:
+                spec = StageSpec(stage_id, StageType.REGULAR, profile_key="ss_split")
+                job.add_stage(Stage(spec, "j", [2.0]))
+            job.finalize()
+            done = job.stage("done")
+            done.mark_running()
+            done.tasks[0].mark_running(0.0, "e")
+            done.tasks[0].mark_finished(2.0)
+            job.notify_stage_finished("done", 2.0)
+            return job
+
+        resolved_first = build(["done", "open"])
+        unresolved_first = build(["open", "done"])
+        evidence = fitted_profiler.evidence_for(resolved_first)
+        assert evidence == fitted_profiler.evidence_for(unresolved_first)
+        assert "ss_split" in evidence
+        gap = fitted_profiler.estimate_remaining_duration(
+            unresolved_first
+        ) - fitted_profiler.estimate_remaining_duration(resolved_first)
+        expected = fitted_profiler.expected_stage_duration("sequence_sorting", "ss_split", evidence)
+        assert expected > 0
+        assert gap == pytest.approx(expected)
 
     def test_expected_stage_duration(self, fitted_profiler):
         value = fitted_profiler.expected_stage_duration("sequence_sorting", "ss_split", {})

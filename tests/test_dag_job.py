@@ -39,11 +39,17 @@ class TestConstruction:
 
     def test_cycle_rejected(self):
         job = Job("j", "app", 0.0)
-        for sid in "ab":
+        for sid in "abc":
             job.add_stage(stage("j", sid))
         job.add_dependency("a", "b")
         with pytest.raises(ValueError):
             job.add_dependency("b", "a")
+        # A longer cycle a -> b -> c -> a is rejected too, leaving the graph as it was.
+        job.add_dependency("b", "c")
+        before = job.edges()
+        with pytest.raises(ValueError, match="would create a cycle"):
+            job.add_dependency("c", "a")
+        assert job.edges() == before
 
     def test_self_dependency_rejected(self):
         job = Job("j", "app", 0.0)
